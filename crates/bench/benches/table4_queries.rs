@@ -102,7 +102,9 @@ fn bench_solver_phase_share(c: &mut Criterion) {
         b.iter(|| {
             let mut table = faure_storage::Table::from_relation(&r);
             let mut session = faure_solver::Session::new();
-            table.prune(&reg, &mut session).expect("prunable");
+            table
+                .prune(&reg, &mut session, faure_storage::PruneRows::All, 1)
+                .expect("prunable");
             table.len()
         })
     });

@@ -42,108 +42,116 @@ use faure_bench::{
     HarnessOptions, Table4Row,
 };
 use faure_core::PrunePolicy;
+use std::str::FromStr;
 
-fn main() {
-    let mut sizes: Vec<usize> = vec![1000, 10_000];
-    let mut opts = HarnessOptions::default();
-    let mut json_path: Option<String> = None;
-    let mut thread_counts: Vec<usize> = vec![opts.eval.threads];
-    let mut shard_counts: Vec<usize> = vec![opts.eval.shards.max(1)];
-    let mut churn_sizes: Vec<usize> = Vec::new();
-    let mut churn_updates: usize = 200;
-    let mut churn_only = false;
-    let mut q45_only = false;
-    let mut telemetry_addr: Option<String> = None;
+const USAGE: &str = "usage: table4 [--sizes a,b,c] [--seed N] [--json out.json] \
+                     [--prune eager|stratum|never] [--threads a,b,c] [--shards a,b,c] \
+                     [--churn a,b,c] [--churn-updates N] [--churn-only] [--q45-only] \
+                     [--telemetry-addr HOST:PORT]";
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--sizes" => {
-                i += 1;
-                sizes = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sizes takes a,b,c"))
-                    .collect();
-            }
-            "--seed" => {
-                i += 1;
-                opts.seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(args[i].clone());
-            }
+/// The parsed command line.
+struct Cli {
+    sizes: Vec<usize>,
+    opts: HarnessOptions,
+    json_path: Option<String>,
+    thread_counts: Vec<usize>,
+    shard_counts: Vec<usize>,
+    churn_sizes: Vec<usize>,
+    churn_updates: usize,
+    churn_only: bool,
+    q45_only: bool,
+    telemetry_addr: Option<String>,
+}
+
+/// Parses the arguments after the program name. `Err` carries the
+/// message to print above the usage line (empty for `--help`).
+fn parse_args(args: &[String]) -> Result<Cli, String> {
+    let opts = HarnessOptions::default();
+    let mut cli = Cli {
+        sizes: vec![1000, 10_000],
+        json_path: None,
+        thread_counts: vec![opts.eval.threads],
+        shard_counts: vec![opts.eval.shards.max(1)],
+        churn_sizes: Vec::new(),
+        churn_updates: 200,
+        churn_only: false,
+        q45_only: false,
+        telemetry_addr: None,
+        opts,
+    };
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let flag = flag.as_str();
+        let mut value = || {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag {
+            "--sizes" => cli.sizes = list(flag, value()?)?,
+            "--seed" => cli.opts.seed = number(flag, value()?)?,
+            "--json" => cli.json_path = Some(value()?.to_owned()),
             "--prune" => {
-                i += 1;
-                opts.eval.prune = match args[i].as_str() {
+                cli.opts.eval.prune = match value()? {
                     "eager" => PrunePolicy::Eager,
                     "stratum" => PrunePolicy::EndOfStratum,
                     "never" => PrunePolicy::Never,
-                    other => panic!("unknown prune policy {other}"),
-                };
+                    other => return Err(format!("unknown prune policy {other}")),
+                }
             }
-            "--threads" => {
-                i += 1;
-                thread_counts = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--threads takes a,b,c"))
-                    .collect();
-                assert!(
-                    thread_counts.iter().all(|&t| t >= 1),
-                    "--threads counts must be >= 1"
-                );
-            }
-            "--shards" => {
-                i += 1;
-                shard_counts = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--shards takes a,b,c"))
-                    .collect();
-                assert!(
-                    shard_counts.iter().all(|&s| s >= 1),
-                    "--shards counts must be >= 1"
-                );
-            }
-            "--churn" => {
-                i += 1;
-                churn_sizes = args[i]
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--churn takes a,b,c"))
-                    .collect();
-            }
-            "--churn-updates" => {
-                i += 1;
-                churn_updates = args[i].parse().expect("--churn-updates takes an integer");
-            }
-            "--churn-only" => {
-                churn_only = true;
-            }
-            "--q45-only" => {
-                q45_only = true;
-            }
-            "--telemetry-addr" => {
-                i += 1;
-                telemetry_addr = Some(args[i].clone());
-            }
-            other => {
-                panic!(
-                    "unknown argument {other} (try --sizes/--seed/--json/--prune/--threads/\
-                     --shards/--churn/--churn-updates/--churn-only/--q45-only/--telemetry-addr)"
-                )
-            }
+            "--threads" => cli.thread_counts = positive_list(flag, value()?)?,
+            "--shards" => cli.shard_counts = positive_list(flag, value()?)?,
+            "--churn" => cli.churn_sizes = list(flag, value()?)?,
+            "--churn-updates" => cli.churn_updates = number(flag, value()?)?,
+            "--churn-only" => cli.churn_only = true,
+            "--q45-only" => cli.q45_only = true,
+            "--telemetry-addr" => cli.telemetry_addr = Some(value()?.to_owned()),
+            "--help" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other}")),
         }
-        i += 1;
     }
+    Ok(cli)
+}
 
-    if churn_only {
-        sizes.clear();
+fn number<T: FromStr>(flag: &str, text: &str) -> Result<T, String> {
+    text.trim()
+        .parse()
+        .map_err(|_| format!("{flag}: malformed number {text:?}"))
+}
+
+fn list(flag: &str, text: &str) -> Result<Vec<usize>, String> {
+    text.split(',').map(|s| number(flag, s)).collect()
+}
+
+fn positive_list(flag: &str, text: &str) -> Result<Vec<usize>, String> {
+    let counts = list(flag, text)?;
+    if counts.contains(&0) {
+        return Err(format!("{flag} counts must be >= 1"));
+    }
+    Ok(counts)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = match parse_args(&args) {
+        Ok(cli) => cli,
+        Err(msg) => {
+            if !msg.is_empty() {
+                eprintln!("error: {msg}");
+            }
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
+
+    if cli.churn_only {
+        cli.sizes.clear();
     }
     // The engine publishes its counters into the process-global
     // telemetry registry at apply boundaries; the exporter thread just
     // serves whatever has accumulated, so a mid-run scrape watches the
     // bench make progress.
-    if let Some(addr) = &telemetry_addr {
+    if let Some(addr) = &cli.telemetry_addr {
         match faure_trace::prom::serve(addr, faure_trace::telemetry::global()) {
             Ok(srv) => eprintln!("telemetry: serving /metrics on http://{}/", srv.addr),
             Err(e) => {
@@ -153,27 +161,27 @@ fn main() {
         }
     }
     eprintln!(
-        "running Listing 2 (q4-q8) on the synthetic RIB workload, sizes {sizes:?}, seed {}, threads {thread_counts:?}, shards {shard_counts:?}",
-        opts.seed
+        "running Listing 2 (q4-q8) on the synthetic RIB workload, sizes {:?}, seed {}, threads {:?}, shards {:?}",
+        cli.sizes, cli.opts.seed, cli.thread_counts, cli.shard_counts
     );
     let mut rows: Vec<Table4Row> = Vec::new();
-    for &n in &sizes {
+    for &n in &cli.sizes {
         // Serial q4-q5 baselines for this size (whole-query wall-clock
         // and the prune phase alone), for the speedup columns of the
         // > 1-thread / > 1-shard rows.
         let mut serial_q45: Option<f64> = None;
         let mut serial_prune: Option<f64> = None;
-        for &t in &thread_counts {
-            for &sh in &shard_counts {
+        for &t in &cli.thread_counts {
+            for &sh in &cli.shard_counts {
                 eprintln!(
                     "  generating + evaluating {n} prefixes ({t} thread(s), {sh} shard(s)) ..."
                 );
-                opts.eval.threads = t;
-                opts.eval.shards = sh;
-                let mut row = if q45_only {
-                    run_table4_q45_row(n, &opts).expect("evaluation succeeds")
+                cli.opts.eval.threads = t;
+                cli.opts.eval.shards = sh;
+                let mut row = if cli.q45_only {
+                    run_table4_q45_row(n, &cli.opts).expect("evaluation succeeds")
                 } else {
-                    run_table4_row(n, &opts).expect("evaluation succeeds")
+                    run_table4_row(n, &cli.opts).expect("evaluation succeeds")
                 };
                 if t == 1 && sh == 1 {
                     serial_q45 = Some(row.q45_wall());
@@ -234,11 +242,14 @@ fn main() {
     // per size and thread count (q4-q5 only — the recursive query is
     // the maintenance-sensitive one).
     let mut churn_rows: Vec<ChurnRow> = Vec::new();
-    for &n in &churn_sizes {
-        for &t in &thread_counts {
-            eprintln!("  churn: {n} prefixes, {churn_updates} updates ({t} thread(s)) ...");
-            opts.eval.threads = t;
-            let row = run_churn_row(n, churn_updates, &opts).expect("churn run succeeds");
+    for &n in &cli.churn_sizes {
+        for &t in &cli.thread_counts {
+            eprintln!(
+                "  churn: {n} prefixes, {} updates ({t} thread(s)) ...",
+                cli.churn_updates
+            );
+            cli.opts.eval.threads = t;
+            let row = run_churn_row(n, cli.churn_updates, &cli.opts).expect("churn run succeeds");
             eprintln!(
                 "    per-update {}ns mean / {}ns max vs full re-eval {}ns ({:.1}x)",
                 row.per_update_wall_ns,
@@ -275,7 +286,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = cli.json_path {
         let mut encoded: Vec<String> = rows.iter().map(Table4Row::to_json).collect();
         encoded.extend(churn_rows.iter().map(ChurnRow::to_json));
         if let Err(e) = std::fs::write(&path, mixed_rows_to_json(&encoded)) {

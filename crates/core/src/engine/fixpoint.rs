@@ -8,11 +8,11 @@
 //! count.
 
 use super::rule::eval_rule;
-use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::{prune_tables, Ctx, EvalError, EvalOptions, PrunePolicy};
 use crate::ast::Rule;
 use crate::plan::PlanCache;
 use faure_solver::Session;
-use faure_storage::{PhaseStats, PreparedRow, Table};
+use faure_storage::{PhaseStats, PreparedRow, PruneRows, Table};
 use std::collections::{BTreeSet, HashMap};
 
 #[allow(clippy::too_many_arguments)]
@@ -68,28 +68,8 @@ pub(super) fn eval_stratum_semi_naive(
             // One span for the whole delta sweep: per-table spans would
             // follow `HashMap` iteration order, which is not
             // deterministic across runs.
-            let t_prune = ctx.tracer.now_ns();
-            let wall = std::time::Instant::now();
-            let mut removed = 0usize;
-            let mut rows = 0usize;
-            for t in delta.values_mut() {
-                rows += t.len();
-                removed += if opts.threads > 1 {
-                    t.prune_parallel(&ctx.reg_snapshot, session, &ctx.shared_memo, opts.threads)?
-                } else {
-                    t.prune(&ctx.reg_snapshot, session)?
-                };
-            }
-            stats.prune_wall += wall.elapsed();
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", "(delta)".into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
-                ]
-            });
+            let all = delta.values_mut().map(|t| (t, PruneRows::All));
+            prune_tables(ctx, session, opts, stats, "(delta)", all)?;
             delta.retain(|_, t| !t.is_empty());
             if delta.is_empty() {
                 break;

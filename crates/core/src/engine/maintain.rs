@@ -43,12 +43,12 @@
 //!   tables) are removed wholesale; survivors are exact, because
 //!   every one of their derivations avoided the changed rows. Rules
 //!   whose heads lost rows then re-run their full iteration-0 plans
-//!   and the stratum iterates to fixpoint. On non-recursive strata
-//!   ([`DeletionStrategy::Counting`]) the frontier empties after one
-//!   round and the stored support counts gate whether re-derivation
-//!   runs at all; recursive strata
-//!   ([`DeletionStrategy::Rederive`]) chase the frontier to its
-//!   transitive closure.
+//!   and the stratum iterates to fixpoint. Every stratum runs this
+//!   same loop: on a non-recursive one (reported as `counting`) no
+//!   rule reads an in-stratum predicate, so the frontier empties after
+//!   one round; a recursive one (reported as `rederive`) chases the
+//!   frontier to its transitive closure. The label comes from
+//!   [`MaintenanceMeta::recursive_strata`](crate::plan::MaintenanceMeta::recursive_strata).
 //!
 //! A changed negated predicate can strengthen *or* weaken downstream
 //! conditions without touching any term, so rules negating a changed
@@ -56,12 +56,13 @@
 //!
 //! ## Upward propagation and certification
 //!
-//! After a stratum settles (changed rows pruned through
-//! [`Table::prune_rows`]), each changed row is *certified* before
-//! flowing upward: a merged row whose condition is still the
-//! minimal-DNF antichain representation and was left untouched by the
-//! prune propagates as just its new disjuncts (the cheap path — upper
-//! antichains self-correct by subsumption). Anything else — opaque
+//! After a stratum settles (changed rows pruned in place through
+//! [`Table::prune`] with [`PruneRows::Only`]), each changed row is
+//! *certified* before flowing upward: a merged row whose condition is
+//! still the minimal-DNF antichain representation and was left
+//! untouched by the prune propagates as just its new disjuncts (the
+//! cheap path — upper antichains self-correct by subsumption).
+//! Anything else — opaque
 //! conditions, prune-simplified conditions, removed rows — propagates
 //! as delete-old-version + insert-new-version, pushing the upper
 //! stratum onto the DRed path. This is what keeps incremental results
@@ -78,14 +79,17 @@
 
 use super::rule::eval_rule;
 use super::{fixpoint, shard};
-use super::{resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram, PrunePolicy};
+use super::{
+    prune_tables, resolve_cvars, Ctx, EvalError, EvalOptions, EvalOutput, PreparedProgram,
+    PrunePolicy,
+};
 use crate::analysis::Finding;
 use crate::ast::{Literal, Program, Rule};
-use crate::plan::{DeletionStrategy, PlanCache};
+use crate::plan::PlanCache;
 use crate::update::{DeletePattern, Update};
 use faure_ctable::{CTuple, CVarId, CVarRegistry, Const, Database, Relation, Schema, Term};
 use faure_solver::{Session, SharedMemo};
-use faure_storage::{PhaseStats, PreparedRow, Table};
+use faure_storage::{PhaseStats, PreparedRow, PruneRows, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -555,8 +559,6 @@ impl PreparedProgram {
                 .iter()
                 .map(|&i| (i, &program.rules[i]))
                 .collect();
-            let head_preds: BTreeSet<&str> =
-                rules.iter().map(|(_, r)| r.head.pred.as_str()).collect();
             let reads_changed = rules.iter().any(|(_, r)| {
                 r.body
                     .iter()
@@ -642,17 +644,11 @@ impl PreparedProgram {
             let mode;
             let mut iter0: BTreeSet<String> = BTreeSet::new();
             if del_relevant || neg_involved {
-                mode = match self
-                    .maint
-                    .strategies
-                    .get(*head_preds.iter().next().unwrap_or(&""))
-                {
-                    Some(DeletionStrategy::Counting) => "counting",
-                    _ => "rederive",
-                };
                 if self.maint.recursive_strata.get(si) == Some(&false) {
+                    mode = "counting";
                     report.counting_strata += 1;
                 } else {
+                    mode = "rederive";
                     report.rederive_strata += 1;
                 }
 
@@ -972,26 +968,8 @@ fn run_one_stratum(
         // `stratum_preds` is a BTreeSet, so prune order — and
         // therefore the trace event stream — is deterministic.
         for p in &stratum_preds {
-            let t_prune = tracer.now_ns();
             let t = tables.get_mut(*p).expect("table created above");
-            let rows = t.len();
-            let wall = Instant::now();
-            let removed = if opts.threads > 1 {
-                t.prune_parallel(&ctx.reg_snapshot, session, &ctx.shared_memo, opts.threads)?
-            } else {
-                t.prune(&ctx.reg_snapshot, session)?
-            };
-            stats.prune_wall += wall.elapsed();
-            stats.pruned += removed;
-            super::publish::publish_prune(rows, removed);
-            tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", (*p).into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
-                ]
-            });
+            stats.pruned += prune_tables(ctx, session, opts, stats, p, [(t, PruneRows::All)])?;
         }
     }
     let rule_count = rules.len();
@@ -1306,22 +1284,10 @@ fn settle_stratum(
             PrunePolicy::EndOfStratum | PrunePolicy::EveryIteration
         ) && !idxs.is_empty()
         {
-            let t_prune = ctx.tracer.now_ns();
-            let rows = idxs.len();
-            let wall = Instant::now();
-            let removed = table.prune_rows(&ctx.reg_snapshot, session, &idxs)?;
-            stats.prune_wall += wall.elapsed();
+            let sel = [(&mut *table, PruneRows::Only(&idxs))];
+            let removed = prune_tables(ctx, session, opts, stats, p, sel)?;
             stats.pruned += removed;
             report.pruned += removed;
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", p.as_str().into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", 1usize.into()),
-                ]
-            });
         }
 
         let ob = outbound.get(p);

@@ -40,10 +40,11 @@
 //! [`faure_storage::Table::absorb_partitions`] — the insert sequence
 //! equals the serial enumeration order, so parallel results (conditions
 //! included) are **bit-identical** to a serial run. The solver phase
-//! scales the same way: end-of-stratum pruning runs through
-//! [`faure_storage::Table::prune_parallel`], which splits the rows
-//! across workers over the same shared memo and merges kept rows in
-//! partition order.
+//! scales the same way: every prune site goes through one helper,
+//! `prune_tables`, which calls [`faure_storage::Table::prune`] with
+//! `threads` workers. The prune judges contiguous row chunks on
+//! workers over the same shared memo, then applies the verdicts in
+//! place, serially and in row order.
 //!
 //! ## Cross-run memo reuse
 //!
@@ -71,12 +72,13 @@ use crate::analysis::{check_safety, stratify, AnalysisError, Stratification};
 use crate::ast::Program;
 use crate::plan::{maintenance_meta, MaintenanceMeta, PlanCache, ShardPlan};
 use faure_ctable::{CVarId, CVarRegistry, Database, Domain, Relation};
-use faure_solver::{SharedMemo, SolverError};
-use faure_storage::{ArityError, PhaseStats};
+use faure_solver::{Session, SharedMemo, SolverError};
+use faure_storage::{ArityError, PhaseStats, PruneRows, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// When the solver phase (the paper's "Z3 step") runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -581,6 +583,43 @@ pub(crate) struct Ctx<'a> {
     /// Partition keys for the sharded fixpoint driver (unused when
     /// `opts.shards <= 1`).
     pub(crate) shard_plan: ShardPlan,
+}
+
+/// The solver phase over a set of tables: prunes the selected rows of
+/// each, in the given order and with `opts.threads` workers, under one
+/// `eval/prune` span. Adds the wall time to `stats.prune_wall`,
+/// publishes the pass and returns the number of rows removed; removal
+/// accounting stays with the caller.
+fn prune_tables<'t>(
+    ctx: &Ctx<'_>,
+    session: &mut Session,
+    opts: &EvalOptions,
+    stats: &mut PhaseStats,
+    pred: &str,
+    targets: impl IntoIterator<Item = (&'t mut Table, PruneRows<'t>)>,
+) -> Result<usize, EvalError> {
+    let t_prune = ctx.tracer.now_ns();
+    let wall = Instant::now();
+    let mut rows = 0usize;
+    let mut removed = 0usize;
+    for (table, sel) in targets {
+        rows += match sel {
+            PruneRows::All => table.len(),
+            PruneRows::Only(idxs) => idxs.len(),
+        };
+        removed += table.prune(&ctx.reg_snapshot, session, sel, opts.threads)?;
+    }
+    stats.prune_wall += wall.elapsed();
+    publish::publish_prune(rows, removed);
+    ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
+        vec![
+            ("pred", pred.into()),
+            ("rows", rows.into()),
+            ("removed", removed.into()),
+            ("threads", opts.threads.into()),
+        ]
+    });
+    Ok(removed)
 }
 
 #[cfg(test)]

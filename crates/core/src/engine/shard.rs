@@ -51,12 +51,12 @@
 //! accumulated tables workers read are only mutated at pass barriers.
 
 use super::rule::eval_rule;
-use super::{Ctx, EvalError, EvalOptions, PrunePolicy};
+use super::{prune_tables, Ctx, EvalError, EvalOptions, PrunePolicy};
 use crate::ast::Rule;
 use crate::plan::PlanCache;
 use faure_solver::Session;
 use faure_storage::shard::{route_term, Route};
-use faure_storage::{OpStats, PhaseStats, PreparedRow, Table};
+use faure_storage::{OpStats, PhaseStats, PreparedRow, PruneRows, Table};
 use faure_trace::Tracer;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::mpsc::sync_channel;
@@ -155,39 +155,17 @@ pub(super) fn eval_stratum_sharded<'a>(
         }
         let t_iter = ctx.tracer.now_ns();
         if opts.prune == PrunePolicy::EveryIteration {
-            // Deterministic sweep order: predicate (BTreeSet), then
-            // shard 0..n; one span for the whole sweep, like the
-            // single-space driver.
-            let t_prune = ctx.tracer.now_ns();
-            let wall = Instant::now();
-            let mut removed = 0usize;
-            let mut rows = 0usize;
-            for p in stratum_preds {
-                for m in parts.iter_mut() {
-                    let Some(t) = m.get_mut(*p) else { continue };
-                    rows += t.len();
-                    removed += if opts.threads > 1 {
-                        t.prune_parallel(
-                            &ctx.reg_snapshot,
-                            session,
-                            &ctx.shared_memo,
-                            opts.threads,
-                        )?
-                    } else {
-                        t.prune(&ctx.reg_snapshot, session)?
-                    };
-                }
-            }
-            stats.prune_wall += wall.elapsed();
-            super::publish::publish_prune(rows, removed);
-            ctx.tracer.emit_span("eval", "prune", t_prune, 0, || {
-                vec![
-                    ("pred", "(delta)".into()),
-                    ("rows", rows.into()),
-                    ("removed", removed.into()),
-                    ("threads", opts.threads.into()),
-                ]
-            });
+            // Deterministic sweep order: predicate (every key is a
+            // stratum head), then shard 0..n; one span for the whole
+            // sweep, like the single-space fixpoint.
+            let mut sweep: Vec<_> = parts
+                .iter_mut()
+                .enumerate()
+                .flat_map(|(s, m)| m.iter_mut().map(move |(p, t)| ((p.as_str(), s), t)))
+                .collect();
+            sweep.sort_by_key(|&(key, _)| key);
+            let all = sweep.into_iter().map(|(_, t)| (t, PruneRows::All));
+            prune_tables(ctx, session, opts, stats, "(delta)", all)?;
             for m in parts.iter_mut() {
                 m.retain(|_, t| !t.is_empty());
             }

@@ -70,7 +70,7 @@ pub use parser::{
 };
 pub use plan::{
     compile_rule, compile_rule_hinted, explain_program, explain_program_json, maintenance_meta,
-    DeletionStrategy, Hints, JoinStep, MaintenanceMeta, PlanCache, RulePlan,
+    Hints, JoinStep, MaintenanceMeta, PlanCache, RulePlan,
 };
 pub use update::{
     apply_to_database, expand_constraint, rewrite_constraint, DeletePattern, Update, UpdateError,

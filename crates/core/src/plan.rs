@@ -407,28 +407,9 @@ impl PlanCache {
     }
 }
 
-/// How incremental maintenance handles deletions reaching a predicate
-/// (see `engine::maintain`). The decision is purely structural — it
-/// depends on the stratification, not the data — so it is compiled
-/// here, once, alongside the rule plans.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeletionStrategy {
-    /// Non-recursive stratum: a counting-gated single pass. Support
-    /// counts on the stored rows bound the suspect set, and
-    /// re-derivation runs only for rules whose heads actually lost
-    /// rows; the over-delete frontier empties after one round because
-    /// no rule reads an in-stratum predicate.
-    Counting,
-    /// Recursive stratum: DRed. Over-delete to the transitive closure
-    /// of suspect rows (derivations reachable from the deleted
-    /// tuples), then re-derive the survivors' contributions through
-    /// the stratum fixpoint.
-    Rederive,
-}
-
 /// Per-program maintenance metadata: which body positions can carry a
-/// delta, which strata are recursive, and the deletion strategy per
-/// derived predicate. Compiled once at prepare time (like the rule
+/// delta, which strata are recursive, and which rules negate each
+/// predicate. Compiled once at prepare time (like the rule
 /// plans); the `engine::maintain` module consumes it on every
 /// [`Delta`](../engine/struct.Delta.html) application.
 #[derive(Clone, Debug, Default)]
@@ -441,10 +422,12 @@ pub struct MaintenanceMeta {
     /// compile lazily through the same [`PlanCache`].
     pub delta_positions: Vec<Vec<usize>>,
     /// Per stratum: whether some rule reads an in-stratum predicate
-    /// positively (the stratum needs fixpoint iteration).
+    /// positively (the stratum needs fixpoint iteration). Deletions
+    /// reaching a non-recursive stratum are reported as `counting`
+    /// (its over-delete frontier empties after one round), those
+    /// reaching a recursive one as `rederive` (DRed to the transitive
+    /// closure); both run the same over-delete/re-derive loop.
     pub recursive_strata: Vec<bool>,
-    /// Deletion strategy per derived predicate, keyed by name.
-    pub strategies: BTreeMap<String, DeletionStrategy>,
     /// For each predicate: indices of rules that negate it. A change
     /// to such a predicate can strengthen *or* weaken the negated
     /// condition, so the affected stratum falls back to
@@ -528,7 +511,6 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
         })
         .collect();
     let mut recursive_strata = Vec::with_capacity(strata.len());
-    let mut strategies = BTreeMap::new();
     for stratum_rules in strata {
         let heads: BTreeSet<&str> = stratum_rules
             .iter()
@@ -541,14 +523,6 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
                 .any(|l| !l.is_negative() && heads.contains(l.atom().pred.as_str()))
         });
         recursive_strata.push(recursive);
-        let strategy = if recursive {
-            DeletionStrategy::Rederive
-        } else {
-            DeletionStrategy::Counting
-        };
-        for h in heads {
-            strategies.insert(h.to_owned(), strategy);
-        }
     }
     let mut negated_by: BTreeMap<String, BTreeSet<usize>> = BTreeMap::new();
     for (ri, rule) in program.rules.iter().enumerate() {
@@ -564,7 +538,6 @@ pub fn maintenance_meta(program: &Program, strata: &[Vec<usize>]) -> Maintenance
     MaintenanceMeta {
         delta_positions,
         recursive_strata,
-        strategies,
         negated_by,
     }
 }

@@ -173,6 +173,17 @@ impl Session {
         }
     }
 
+    /// A fresh, untagged session over this session's memo store, for a
+    /// worker thread: a shared memo is shared, while a local memo cannot
+    /// be and the fork starts with an empty one. Verdicts never depend
+    /// on the memo, so forks change only the hit/miss statistics.
+    pub fn fork(&self) -> Session {
+        match &self.memo {
+            MemoBackend::Shared(memo) => Session::with_shared(Arc::clone(memo)),
+            MemoBackend::Local { .. } => Session::new(),
+        }
+    }
+
     /// Tags this session as evaluation shard `tag` (1-based; `0` means
     /// untagged). Shared-memo writes carry the tag and hits on entries
     /// written by a *different* tagged shard count as

@@ -43,4 +43,6 @@ pub mod table;
 pub use exec::{CondAcc, OpStats};
 pub use pipeline::PhaseStats;
 pub use shard::{Route, ShardStats};
-pub use table::{ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, Table};
+pub use table::{
+    ArityError, DeletionEffect, InsertOutcome, Pattern, PreparedRow, PruneRows, Table,
+};

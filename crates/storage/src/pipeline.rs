@@ -28,8 +28,8 @@ pub struct PhaseStats {
     pub pruned: usize,
     /// Elapsed wall-clock time of the prune phase alone. Unlike
     /// `solver` (which sums per-worker CPU time under parallel
-    /// evaluation), this is measured around each `Table::prune` /
-    /// `Table::prune_parallel` call on the driver thread, so
+    /// evaluation), this is measured around each prune pass (one or
+    /// more `Table::prune` calls) on the evaluating thread, so
     /// `prune_wall` shrinking while `solver` stays flat is exactly the
     /// signature of parallel pruning paying off.
     pub prune_wall: Duration,

@@ -10,8 +10,10 @@
 //!   never shrinks across inserts (conditions only widen);
 //! * prune is semantically invisible.
 
-use faure_ctable::{CTuple, CVarId, CVarRegistry, Condition, Const, Domain, Schema, Term};
-use faure_storage::{Pattern, Table};
+use faure_ctable::{
+    CTuple, CVarId, CVarRegistry, CmpOp, Condition, Const, Domain, LinExpr, Schema, Term,
+};
+use faure_storage::{Pattern, PruneRows, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -115,29 +117,49 @@ proptest! {
             }
         }
 
-        // Index/scan agreement on a few probes.
-        for probe in [
-            [Pattern::Exact(Term::int(0)), Pattern::Any],
-            [Pattern::Exact(Term::int(2)), Pattern::Exact(Term::int(1))],
-            [Pattern::Any, Pattern::Exact(Term::Var(CVarId(1)))],
-        ] {
-            let mut via_index: Vec<usize> = table
-                .find_matches(&reg, &probe)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            via_index.sort_unstable();
-            let mut via_scan: Vec<usize> = (0..table.len())
-                .filter(|&i| Table::match_row(&reg, &table.row(i), &probe).is_some())
-                .collect();
-            via_scan.sort_unstable();
-            prop_assert_eq!(via_index, via_scan);
+        // Prune is semantically invisible. The pruned copy starts with
+        // a row only the solver can refute (`a + b = 3` over {0,1}²),
+        // so its removal shifts every later row through the reindex.
+        let dead = [Term::int(7), Term::int(0)];
+        let mut pruned = Table::new(Schema::new("T", &["x", "y"]));
+        let unsat = Condition::cmp(
+            LinExpr::var(CVarId(0)).plus_var(1, CVarId(1)),
+            CmpOp::Eq,
+            LinExpr::constant(3),
+        );
+        pruned.insert(CTuple::with_cond(dead.clone(), unsat)).unwrap();
+        for t in &tuples {
+            pruned.insert(t.clone()).unwrap();
+        }
+        let mut session = faure_solver::Session::new();
+        let removed = pruned.prune(&reg, &mut session, PruneRows::All, 1).unwrap();
+        prop_assert!(removed >= 1);
+        prop_assert!(pruned.find_row(&dead).is_none());
+        for i in 0..pruned.len() {
+            prop_assert_eq!(pruned.find_row(&pruned.row(i).terms), Some(i));
         }
 
-        // Prune is semantically invisible.
-        let mut pruned = table.clone();
-        let mut session = faure_solver::Session::new();
-        pruned.prune(&reg, &mut session).unwrap();
+        // Index/scan agreement on a few probes, before and after prune.
+        for t in [&table, &pruned] {
+            for probe in [
+                [Pattern::Exact(Term::int(0)), Pattern::Any],
+                [Pattern::Exact(Term::int(2)), Pattern::Exact(Term::int(1))],
+                [Pattern::Any, Pattern::Exact(Term::Var(CVarId(1)))],
+            ] {
+                let mut via_index: Vec<usize> = t
+                    .find_matches(&reg, &probe)
+                    .into_iter()
+                    .map(|(i, _)| i)
+                    .collect();
+                via_index.sort_unstable();
+                let mut via_scan: Vec<usize> = (0..t.len())
+                    .filter(|&i| Table::match_row(&reg, &t.row(i), &probe).is_some())
+                    .collect();
+                via_scan.sort_unstable();
+                prop_assert_eq!(via_index, via_scan);
+            }
+        }
+
         for (w, a) in assignments.iter().enumerate() {
             let lookup = a.lookup();
             let got: BTreeSet<Vec<Const>> = pruned

@@ -6,7 +6,7 @@
 
 use faure_ctable::worlds::WorldIter;
 use faure_ctable::{CTuple, Condition, Const, Database, Domain, Schema, Term};
-use faure_storage::{ops, Pattern, Table};
+use faure_storage::{ops, Pattern, PruneRows, Table};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -196,7 +196,7 @@ proptest! {
         let (a, _) = tables(&db);
         let mut pruned = a.clone();
         let mut session = faure_solver::Session::new();
-        pruned.prune(&db.cvars, &mut session).unwrap();
+        pruned.prune(&db.cvars, &mut session, PruneRows::All, 1).unwrap();
         for world in WorldIter::new(&db, None).unwrap() {
             let lookup = world.assignment.lookup();
             prop_assert_eq!(ground(&a, &lookup), ground(&pruned, &lookup));

@@ -1,14 +1,19 @@
-//! Differential testing of the parallel solver-phase prune.
+//! Differential testing of the solver-phase prune.
 //!
-//! `Table::prune_parallel` splits a table's rows into contiguous
-//! chunks across scoped workers (each with its own `Session` over the
-//! shared lock-sharded memo) and merges the kept rows in partition
-//! order, which must make it *bit-identical* to the serial
-//! `Table::prune` walk: same kept rows, same simplified conditions, in
-//! the same stored order — at every thread count. The deterministic
-//! solver counters (`sat_calls`, `sat_true`, `simplify_calls`, and the
-//! hit+miss total) must also match; only the memo hit/miss *split*
-//! may depend on scheduling.
+//! `Table::prune` judges the selected rows — all of them, or an index
+//! subset — in contiguous chunks across scoped workers (each with its
+//! own `Session` over the shared lock-sharded memo), then applies the
+//! verdicts serially in index order. That must make it
+//! *bit-identical* at every worker count: same kept rows, same
+//! simplified conditions and pooled condition ids, in the same stored
+//! order. The deterministic solver counters (`sat_calls`, `sat_true`,
+//! `simplify_calls`, and the hit+miss total) must also match; only the
+//! memo hit/miss *split* may depend on scheduling.
+//!
+//! A row's verdict depends on its own condition only, so pruning a
+//! subset must leave every other row's terms and condition id as they
+//! were, and pruning a subset and then its complement must equal
+//! pruning every row at once.
 //!
 //! The tables are built from the shared random corpus databases, with
 //! extra rows whose conditions only the solver can refute (linear
@@ -16,11 +21,13 @@
 //! removes and simplifies rows rather than passing everything through.
 
 use faure_core::eval::canonicalize;
-use faure_ctable::{CTuple, CmpOp, Condition, Database, LinExpr, Term};
+use faure_ctable::{CTuple, CmpOp, CondId, Condition, Database, LinExpr, Term};
 use faure_solver::{Session, SharedMemo, SolverStats};
-use faure_storage::Table;
+use faure_storage::{PruneRows, Table};
 use faure_tests::corpus::arb_db;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The corpus database's relations as prune-ready tables, with three
 /// appended rows per table that force real solver work: a
@@ -53,10 +60,10 @@ fn tables_of(db: &Database) -> Vec<Table> {
         .collect()
 }
 
-/// Stored rows after pruning: terms, raw condition, and the condition
+/// Stored rows after pruning: terms, raw condition, the condition
 /// canonicalized (so a mismatch distinguishes "different condition"
-/// from "same condition, different spelling").
-fn rows_of(t: &Table) -> Vec<(Vec<Term>, Condition, Condition)> {
+/// from "same condition, different spelling"), and its pooled id.
+fn rows_of(t: &Table) -> Vec<(Vec<Term>, Condition, Condition, CondId)> {
     (0..t.len())
         .map(|i| {
             let row = t.row(i);
@@ -64,9 +71,15 @@ fn rows_of(t: &Table) -> Vec<(Vec<Term>, Condition, Condition)> {
                 row.terms.clone(),
                 row.cond.clone(),
                 canonicalize(row.cond.clone()),
+                t.cond_id(i),
             )
         })
         .collect()
+}
+
+/// A session over a fresh shared memo, as the engine's sessions are.
+fn shared_session(db: &Database) -> Session {
+    Session::with_shared(Arc::new(SharedMemo::for_registry(&db.cvars)))
 }
 
 /// The schedule-independent projection of the solver counters.
@@ -91,17 +104,16 @@ proptest! {
         let mut serial_session = Session::new();
         let mut serial_removed = Vec::new();
         for t in &mut serial_tables {
-            serial_removed.push(t.prune(&reg, &mut serial_session).unwrap());
+            serial_removed.push(t.prune(&reg, &mut serial_session, PruneRows::All, 1).unwrap());
         }
         let serial_rows: Vec<_> = serial_tables.iter().map(rows_of).collect();
 
         for threads in [1usize, 2, 4] {
             let mut tables = tables_of(&db);
-            let memo = std::sync::Arc::new(SharedMemo::for_registry(&reg));
-            let mut session = Session::new();
+            let mut session = shared_session(&db);
             let mut removed = Vec::new();
             for t in &mut tables {
-                removed.push(t.prune_parallel(&reg, &mut session, &memo, threads).unwrap());
+                removed.push(t.prune(&reg, &mut session, PruneRows::All, threads).unwrap());
             }
             prop_assert_eq!(&removed, &serial_removed, "removed counts, threads={}", threads);
             let rows: Vec<_> = tables.iter().map(rows_of).collect();
@@ -112,6 +124,63 @@ proptest! {
                 "solver counters diverged, threads={}",
                 threads
             );
+        }
+    }
+
+    /// Pruning a row subset leaves the other rows' terms and condition
+    /// ids untouched, and pruning the complement afterwards yields the
+    /// one-pass full prune: same rows, same total removed, same
+    /// deterministic solver counters — at every worker count.
+    #[test]
+    fn subset_then_complement_equals_full_prune(
+        db in arb_db(),
+        pick in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let reg = db.cvars.clone();
+        for (ti, base) in tables_of(&db).into_iter().enumerate() {
+            let mut full = base.clone();
+            let mut full_session = Session::new();
+            let full_removed = full.prune(&reg, &mut full_session, PruneRows::All, 1).unwrap();
+            // Absolute anchors for the reference: the solver-only-unsat
+            // row is gone and the valid disjunction is now `True`.
+            let arity = base.schema.arity();
+            prop_assert!(full.find_row(&vec![Term::int(90); arity]).is_none());
+            let valid = full.find_row(&vec![Term::int(92); arity]);
+            prop_assert_eq!(valid.map(|i| full.cond_id(i)), Some(CondId::TRUE));
+            let subset: Vec<usize> = (0..base.len()).filter(|&i| pick[i % pick.len()]).collect();
+            let subset_terms: BTreeSet<Vec<Term>> =
+                subset.iter().map(|&i| base.row(i).terms).collect();
+
+            for workers in [1usize, 2, 4] {
+                let mut t = base.clone();
+                let mut session = shared_session(&db);
+                let first = t.prune(&reg, &mut session, PruneRows::Only(&subset), workers).unwrap();
+
+                // Rows outside the subset keep their terms, condition
+                // ids and relative order.
+                let mut last = None;
+                for j in (0..base.len()).filter(|&j| !subset_terms.contains(&base.row(j).terms)) {
+                    let k = t.find_row(&base.row(j).terms);
+                    prop_assert!(k.is_some(), "table {}: untouched row {} vanished", ti, j);
+                    prop_assert_eq!(t.cond_id(k.unwrap()), base.cond_id(j));
+                    prop_assert!(last < k, "table {}: untouched rows reordered", ti);
+                    last = k;
+                }
+
+                let rest: Vec<usize> = (0..t.len())
+                    .filter(|&k| !subset_terms.contains(&t.row(k).terms))
+                    .collect();
+                let second = t.prune(&reg, &mut session, PruneRows::Only(&rest), workers).unwrap();
+                prop_assert_eq!(first + second, full_removed, "table {}, workers={}", ti, workers);
+                prop_assert_eq!(rows_of(&t), rows_of(&full), "table {}, workers={}", ti, workers);
+                prop_assert_eq!(
+                    deterministic_counters(&session.stats()),
+                    deterministic_counters(&full_session.stats()),
+                    "table {}, workers={}",
+                    ti,
+                    workers
+                );
+            }
         }
     }
 }
