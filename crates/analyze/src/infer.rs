@@ -1,5 +1,5 @@
 //! Per-predicate column-domain inference: an abstract interpretation
-//! of the program over the [`AbsDom`](crate::domains::AbsDom) lattice.
+//! of the program over the [`AbsDom`] lattice.
 //!
 //! The pass runs the program *abstractly*: input (EDB) relation
 //! columns are seeded from the database contents when one is supplied

@@ -552,7 +552,7 @@ fn comparisons_span(spans: &RuleSpans) -> Option<Span> {
 
 /// Distils the inference results into [`faure_core::plan::Hints`] for
 /// hinted plan compilation
-/// ([`Engine::prepare_with_hints`](faure_core::Engine::prepare_with_hints)):
+/// ([`Engine::with_hints`](faure_core::Engine::with_hints)):
 ///
 /// * every predicate the fixpoint proves empty goes into
 ///   `empty_preds`, and every rule with an infeasibility proof into
@@ -572,7 +572,7 @@ pub fn plan_hints(program: &faure_core::Program, db: Option<&Database>) -> faure
 }
 
 /// The [`plan_hints`] distillation, for callers that already ran
-/// [`infer`].
+/// [`infer()`].
 pub fn hints_from_inference(inference: &infer::Inference) -> faure_core::plan::Hints {
     let mut hints = faure_core::plan::Hints::default();
     for (pred, cols) in &inference.columns {

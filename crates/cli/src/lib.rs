@@ -476,7 +476,7 @@ pub fn cmd_subsume(
 /// `faure sql` implementation.
 pub fn cmd_sql(db_text: &str, query: &str) -> Result<String, CliError> {
     let db = load_database(db_text)?;
-    let table = faure_storage::sql::query(&db, query).map_err(|e| err(e.to_string()))?;
+    let table = faure_core::sql::query(&db, query).map_err(|e| err(e.to_string()))?;
     let mut s = String::new();
     use fmt::Write;
     for row in table.iter() {

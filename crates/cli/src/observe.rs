@@ -153,7 +153,8 @@ pub fn cmd_eval_batch(
     let hints = batch_hints(&program, loaded.iter().map(|(_, db)| db));
 
     let mut prepared = Engine::with_options(opts)
-        .prepare_traced_with_hints(&program, hints, &tracer)
+        .with_hints(hints)
+        .prepare_traced(&program, &tracer)
         .map_err(|e| err(e.to_string()))?;
     prepared
         .set_shard_keys(knobs.shard_keys.iter().map(|(p, c)| (p.as_str(), *c)))
@@ -166,7 +167,7 @@ pub fn cmd_eval_batch(
 
     for (label, db) in &loaded {
         let out = prepared
-            .run_with_traced(db, &opts, &tracer)
+            .run_traced(db, &tracer)
             .map_err(|e| err(format!("{label}: {e}")))?;
         let events = recorder.take();
 
@@ -310,7 +311,8 @@ pub fn cmd_eval_updates(
     let db = load_database(db_text).map_err(|e| err(format!("{db_label}: {e}")))?;
     let hints = batch_hints(&program, std::iter::once(&db));
     let mut prepared = Engine::with_options(opts)
-        .prepare_traced_with_hints(&program, hints, &tracer)
+        .with_hints(hints)
+        .prepare_traced(&program, &tracer)
         .map_err(|e| err(e.to_string()))?;
     prepared
         .set_shard_keys(knobs.shard_keys.iter().map(|(p, c)| (p.as_str(), *c)))

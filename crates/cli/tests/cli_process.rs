@@ -111,6 +111,48 @@ fn sql_subcommand() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("(1, 4, 5)"));
 }
 
+/// SQL input never panics: multi-byte text where the lexer expects
+/// whitespace or a keyword is a clean error (exit 1, `error:`).
+#[test]
+fn sql_multibyte_input_fails_cleanly() {
+    let db = write_temp("fig1-utf8.fdb", FIG1);
+    for query in [
+        "SELECT\u{a0}a FROM A",
+        "aéééé",
+        "SELECT a FROM A WHERE a = 1 éé",
+    ] {
+        let out = faure()
+            .args(["sql", db.to_str().unwrap(), query])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{query}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("error:"),
+            "{query}"
+        );
+    }
+}
+
+/// SQL answers pass the solver phase: a selection that contradicts the
+/// only row's condition prints no rows, as `faure eval` derives none.
+#[test]
+fn sql_prunes_contradictory_rows() {
+    let db = write_temp(
+        "contradiction.fdb",
+        "@cvar u in {0, 1, 2}\n@schema A(a, b)\nA($u, 1) :- $u != 1.\n",
+    );
+    let out = faure()
+        .args([
+            "sql",
+            db.to_str().unwrap(),
+            "SELECT a FROM A WHERE a > 0 AND a < 2",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "(no rows)\n");
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     let db = write_temp("bad.fdb", "@cvar broken\n");

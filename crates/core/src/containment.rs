@@ -48,7 +48,7 @@
 //! reported as [`ContainmentError::RecursiveConstraint`]).
 
 use crate::ast::{ArgTerm, CompExpr, Comparison, Literal, Program, Rule, RuleAtom};
-use crate::eval::{evaluate_with, EvalError, EvalOptions};
+use crate::engine::{evaluate_with, without_telemetry, EvalError, EvalOptions, PrunePolicy};
 use faure_ctable::{CTuple, CVarRegistry, CmpOp, Condition, Database, Domain, Schema, Term};
 use faure_solver::SolverError;
 use std::collections::{BTreeSet, HashMap};
@@ -254,12 +254,12 @@ fn rule_covered(
     // we reason about the disjunction of raw panic conditions below.
     // The oracle run is auxiliary — suppress telemetry publication so
     // containment checks don't count as pipeline evaluations.
-    let out = crate::engine::without_telemetry(|| {
+    let out = without_telemetry(|| {
         evaluate_with(
             candidates,
             &db,
             &EvalOptions {
-                prune: crate::eval::PrunePolicy::Never,
+                prune: PrunePolicy::Never,
                 ..Default::default()
             },
         )

@@ -1,38 +1,41 @@
 //! The fauré-log evaluation engine: reusable prepared programs and
 //! (optionally parallel) stratified fixpoint execution.
 //!
-//! This module family replaces the old monolithic `eval::evaluate`
-//! function with an explicit two-step lifecycle:
+//! Every query runs through one two-step lifecycle — fauré-log
+//! programs, the §5 containment oracle, and SQL statements, which
+//! [`crate::sql`] compiles to a single rule:
 //!
 //! 1. [`Engine::prepare`] runs everything that depends only on the
 //!    *program* — safety checking, stratification, and compilation of
 //!    every [`RulePlan`](crate::plan::RulePlan) semi-naive evaluation
-//!    will request (the full
-//!    plan per rule plus one delta plan per stratum-recursive body
-//!    literal). The result is a [`PreparedProgram`].
+//!    will request (the full plan per rule plus one delta plan per
+//!    stratum-recursive body literal), under the engine's planner
+//!    [`Hints`]. The result is a [`PreparedProgram`].
 //! 2. [`PreparedProgram::run`] executes the prepared program against a
 //!    [`Database`]. Repeated queries over changing databases — the
 //!    paper's network-monitoring loop — skip analysis and planning
 //!    entirely: every plan lookup during a run is a cache hit.
 //!
-//! The one-shot [`evaluate`] / [`evaluate_with`] entry points are kept
-//! and now route through prepare-then-run, so their behaviour
-//! (including error order and statistics) is unchanged.
+//! [`Engine::prepare_traced`] and [`PreparedProgram::run_traced`]
+//! record the same steps on a [`Tracer`]; [`evaluate`] and
+//! [`evaluate_with`] are one-shot prepare-then-run.
 //!
 //! ## Layout
 //!
 //! * [`mod@self`] — options, errors, the prepare/run lifecycle;
-//! * [`fixpoint`] (private) — the naive and semi-naive stratum drivers;
-//! * [`rule`] (private) — compiled-plan execution: the c-valuation,
+//! * `fixpoint` (private) — the naive and semi-naive stratum drivers;
+//! * `rule` (private) — compiled-plan execution: the c-valuation,
 //!   comparison pushdown, negation, head instantiation;
-//! * [`parallel`] (private) — the data-parallel inner loop (see below).
+//! * `parallel` (private) — the data-parallel inner loop (see below);
+//! * `maintain` and `shard` (private) — incremental maintenance and
+//!   the sharded fixpoint.
 //!
 //! ## Parallel fixpoint execution
 //!
 //! With [`EvalOptions::threads`] > 1, each rule pass cuts the matches
 //! of its first join step into fine contiguous chunks which
 //! `std::thread::scope` workers pull from a shared atomic cursor (work
-//! stealing — see [`parallel`]). Each worker owns its substitution,
+//! stealing — see `parallel`). Each worker owns its substitution,
 //! condition accumulator, operator counters, and solver [`Session`];
 //! the sessions share one lock-sharded [`faure_solver::SharedMemo`] so
 //! a condition decided by one worker is a memo hit for every other.
@@ -70,7 +73,7 @@ pub use rule::canonicalize;
 
 use crate::analysis::{check_safety, stratify, AnalysisError, Stratification};
 use crate::ast::Program;
-use crate::plan::{maintenance_meta, MaintenanceMeta, PlanCache, ShardPlan};
+use crate::plan::{maintenance_meta, Hints, MaintenanceMeta, PlanCache, ShardPlan};
 use faure_ctable::{CVarId, CVarRegistry, Database, Domain, Relation};
 use faure_solver::{Session, SharedMemo, SolverError};
 use faure_storage::{ArityError, PhaseStats, PruneRows, Table};
@@ -253,11 +256,13 @@ impl EvalOutput {
 
 /// The evaluation engine: a factory for [`PreparedProgram`]s.
 ///
-/// The engine itself only holds the default [`EvalOptions`] its
-/// prepared programs run with; preparation is per-program.
-#[derive(Clone, Copy, Debug, Default)]
+/// The engine holds the default [`EvalOptions`] its prepared programs
+/// run with and the planner [`Hints`] they compile under; preparation
+/// is per-program.
+#[derive(Clone, Debug, Default)]
 pub struct Engine {
     opts: EvalOptions,
+    hints: Hints,
 }
 
 impl Engine {
@@ -268,12 +273,19 @@ impl Engine {
 
     /// An engine with explicit options.
     pub fn with_options(opts: EvalOptions) -> Self {
-        Engine { opts }
+        Engine {
+            opts,
+            hints: Hints::default(),
+        }
     }
 
-    /// The engine's options.
-    pub fn options(&self) -> &EvalOptions {
-        &self.opts
+    /// This engine with semantic-analysis planner hints: plans compile
+    /// under `hints`, so provably-infeasible rules become
+    /// statically-pruned empty plans and inferred column cardinalities
+    /// refine join order. Sound hints never change results — only the
+    /// work done.
+    pub fn with_hints(self, hints: Hints) -> Self {
+        Engine { hints, ..self }
     }
 
     /// Runs the program-only analyses (safety, stratification) and
@@ -284,34 +296,11 @@ impl Engine {
         self.prepare_traced(program, &Tracer::disabled())
     }
 
-    /// [`prepare`](Engine::prepare) with semantic-analysis planner
-    /// hints: plans compile under `hints` (see [`crate::plan::Hints`]),
-    /// so provably-infeasible rules become statically-pruned empty
-    /// plans and inferred column cardinalities refine join order.
-    /// Sound hints never change results — only the work done.
-    pub fn prepare_with_hints(
-        &self,
-        program: &Program,
-        hints: crate::plan::Hints,
-    ) -> Result<PreparedProgram, EvalError> {
-        self.prepare_traced_with_hints(program, hints, &Tracer::disabled())
-    }
-
     /// [`prepare`](Engine::prepare) with the analysis and planning
     /// phases recorded as `prepare` spans on `tracer`.
     pub fn prepare_traced(
         &self,
         program: &Program,
-        tracer: &Tracer,
-    ) -> Result<PreparedProgram, EvalError> {
-        self.prepare_traced_with_hints(program, crate::plan::Hints::default(), tracer)
-    }
-
-    /// [`prepare_with_hints`](Engine::prepare_with_hints) with tracing.
-    pub fn prepare_traced_with_hints(
-        &self,
-        program: &Program,
-        hints: crate::plan::Hints,
         tracer: &Tracer,
     ) -> Result<PreparedProgram, EvalError> {
         let t_safety = tracer.now_ns();
@@ -325,7 +314,7 @@ impl Engine {
             vec![("strata", strat.strata.len().into())]
         });
         let t_plan = tracer.now_ns();
-        let mut plans = PlanCache::with_hints(hints);
+        let mut plans = PlanCache::with_hints(self.hints.clone());
         for stratum_rules in &strat.strata {
             let stratum_preds: BTreeSet<&str> = stratum_rules
                 .iter()
@@ -396,16 +385,6 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// The prepared program's AST.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Its stratification.
-    pub fn stratification(&self) -> &Stratification {
-        &self.strat
-    }
-
     /// Number of rule plans compiled at prepare time.
     pub fn plan_count(&self) -> usize {
         self.compiled as usize
@@ -444,7 +423,7 @@ impl PreparedProgram {
     /// Executes against `db` with the options the engine was built
     /// with.
     pub fn run(&self, db: &Database) -> Result<EvalOutput, EvalError> {
-        self.run_with(db, &self.opts)
+        self.run_traced(db, &Tracer::disabled())
     }
 
     /// [`run`](PreparedProgram::run) with the pipeline recorded on
@@ -452,27 +431,9 @@ impl PreparedProgram {
     /// execution, parallel worker chunks, end-of-stratum pruning, and a
     /// solver-session summary.
     pub fn run_traced(&self, db: &Database, tracer: &Tracer) -> Result<EvalOutput, EvalError> {
-        self.run_with_traced(db, &self.opts, tracer)
-    }
-
-    /// Executes against `db` with explicit per-run options. Note the
-    /// plans were compiled at prepare time; options affecting planning
-    /// inputs (there are none today) would require re-preparing.
-    pub fn run_with(&self, db: &Database, opts: &EvalOptions) -> Result<EvalOutput, EvalError> {
-        self.run_with_traced(db, opts, &Tracer::disabled())
-    }
-
-    /// [`run_with`](PreparedProgram::run_with) +
-    /// [`run_traced`](PreparedProgram::run_traced) combined.
-    pub fn run_with_traced(
-        &self,
-        db: &Database,
-        opts: &EvalOptions,
-        tracer: &Tracer,
-    ) -> Result<EvalOutput, EvalError> {
         let t_run = tracer.now_ns();
-        publish::publish_run(opts.threads);
-        let state = self.materialize_with(db, opts, tracer)?;
+        publish::publish_run(self.opts.threads);
+        let state = self.materialize_with(db, &self.opts, tracer)?;
         let output = state.into_output(&self.program);
 
         let solver_stats = output.stats.solver_stats;
@@ -529,20 +490,6 @@ pub fn evaluate_with(
 /// unaffected; only registry publication is skipped.
 pub fn without_telemetry<R>(f: impl FnOnce() -> R) -> R {
     publish::with_publication_suppressed(f)
-}
-
-/// [`evaluate_with`], recording the prepare and run pipelines on
-/// `tracer` (a [`Tracer::disabled`] makes this identical to
-/// [`evaluate_with`] — results never depend on tracing).
-pub fn evaluate_traced(
-    program: &Program,
-    db: &Database,
-    opts: &EvalOptions,
-    tracer: &Tracer,
-) -> Result<EvalOutput, EvalError> {
-    Engine::with_options(*opts)
-        .prepare_traced(program, tracer)?
-        .run_traced(db, tracer)
 }
 
 /// Resolves c-variable names to ids, auto-registering unknown names
@@ -1018,7 +965,10 @@ mod tests {
 
         let rec = Arc::new(Recorder::new());
         let tracer = Tracer::with_clock(rec.clone(), Arc::new(ManualClock::new()));
-        let traced = evaluate_traced(&program, &db, &EvalOptions::default(), &tracer).unwrap();
+        let traced = Engine::new()
+            .prepare_traced(&program, &tracer)
+            .and_then(|p| p.run_traced(&db, &tracer))
+            .unwrap();
 
         // Bit-identical results and counters.
         assert_eq!(
@@ -1087,7 +1037,10 @@ mod tests {
 
         let rec = Arc::new(Recorder::new());
         let tracer = Tracer::new(rec.clone());
-        let traced = evaluate_traced(&program, &db, &opts, &tracer).unwrap();
+        let traced = Engine::with_options(opts)
+            .prepare_traced(&program, &tracer)
+            .and_then(|p| p.run_traced(&db, &tracer))
+            .unwrap();
         assert_eq!(
             serial.relation("R").unwrap().tuples,
             traced.relation("R").unwrap().tuples

@@ -20,14 +20,14 @@
 //!   [run](engine::PreparedProgram::run) against many databases, and
 //!   the fixpoint inner loop parallelises across threads
 //!   ([`EvalOptions::threads`]) with bit-identical results;
-//! * [`eval`] — the historical paths of the evaluation API
-//!   (re-exports from [`engine`]);
 //! * [`mod@reference`] — an independent pure-datalog evaluator over single
 //!   possible worlds, the ground truth for **loss-less modeling** (§4);
 //! * [`containment`] — constraint subsumption by the paper's reduction
 //!   of program containment to fauré-log evaluation (§5, category (i));
 //! * [`update`] — the insert/delete constraint rewrite (§5 Listing 4,
-//!   category (ii)).
+//!   category (ii));
+//! * [`sql`] — the §3 SQL surface: a SELECT compiles to one rule and
+//!   runs through the [`engine`].
 //!
 //! ## Quick start
 //!
@@ -51,18 +51,18 @@ pub mod analysis;
 pub mod ast;
 pub mod containment;
 pub mod engine;
-pub mod eval;
 pub mod parser;
 pub mod plan;
 pub mod reference;
+pub mod sql;
 pub mod update;
 
 pub use analysis::{analyze, check_safety, stratify, AnalysisError, Finding, Stratification};
 pub use ast::{ArgTerm, CompExpr, Comparison, Literal, Program, Rule, RuleAtom};
 pub use containment::{subsumes, ContainmentError, Subsumption, GOAL};
 pub use engine::{
-    evaluate, evaluate_traced, evaluate_with, without_telemetry, Delta, DeltaReport, Engine,
-    EvalError, EvalOptions, EvalOutput, MaterializedState, PreparedProgram, PrunePolicy,
+    evaluate, evaluate_with, without_telemetry, Delta, DeltaReport, Engine, EvalError, EvalOptions,
+    EvalOutput, MaterializedState, PreparedProgram, PrunePolicy,
 };
 pub use parser::{
     parse_program, parse_program_spanned, parse_rule, AtomSpans, ParseError, RuleSpans, Span,

@@ -1,14 +1,15 @@
-//! A small SQL dialect over c-tables.
+//! A small SQL dialect over c-tables, run by the fauré-log engine.
 //!
 //! §3 of the paper recalls that "the c-tables can be queried by a
 //! straightforward extension of SQL": the join of two c-tables
 //! concatenates tuples and conjoins their conditions with the equality
 //! of the join attributes; selections against c-variable cells attach
 //! conditions instead of filtering. The paper's implementation (§6)
-//! runs fauré-log by *rewriting* onto SQL; this module provides the
-//! reverse convenience — an ad-hoc SQL query surface over the same
-//! storage engine, mirroring what a PostgreSQL user of fauré would
-//! type:
+//! runs fauré-log by *rewriting* onto SQL; this module goes the other
+//! way. It [compiles](compile) a SELECT-FROM-WHERE statement into one
+//! fauré-log rule and [runs](query) it through the same [`Engine`] as
+//! every other query, so SQL answers pass the solver phase too and
+//! never carry a contradictory row:
 //!
 //! ```text
 //! SELECT dest, path FROM P WHERE dest = '1.2.3.4'
@@ -24,9 +25,10 @@
 //! `OR`, grouping, aggregation, subqueries — use fauré-log for
 //! anything deductive.
 
-use crate::ops;
-use crate::table::{Pattern, Table};
-use faure_ctable::{Atom, CTuple, CVarRegistry, CmpOp, Condition, Const, Database, Schema, Term};
+use crate::ast::{ArgTerm, CompExpr, Comparison, Literal, Program, Rule, RuleAtom};
+use crate::engine::{without_telemetry, Engine};
+use faure_ctable::{CmpOp, Const, Database, Schema};
+use faure_storage::Table;
 use std::fmt;
 
 /// SQL layer errors.
@@ -45,6 +47,8 @@ pub enum SqlError {
     UnknownColumn(String),
     /// A column reference is ambiguous across FROM tables.
     AmbiguousColumn(String),
+    /// The engine rejected the compiled rule (message of its error).
+    Eval(String),
 }
 
 impl fmt::Display for SqlError {
@@ -56,6 +60,7 @@ impl fmt::Display for SqlError {
             SqlError::AmbiguousColumn(c) => {
                 write!(f, "ambiguous column {c}: qualify it as table.column")
             }
+            SqlError::Eval(msg) => write!(f, "evaluation failed: {msg}"),
         }
     }
 }
@@ -120,12 +125,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.src[self.pos..]
+        while let Some(c) = self.src[self.pos..]
             .chars()
             .next()
-            .is_some_and(char::is_whitespace)
+            .filter(|c| c.is_whitespace())
         {
-            self.pos += 1;
+            self.pos += c.len_utf8();
         }
     }
 
@@ -137,7 +142,10 @@ impl<'a> Lexer<'a> {
     fn eat_kw(&mut self, kw: &str) -> bool {
         self.skip_ws();
         let rest = &self.src[self.pos..];
-        if rest.len() >= kw.len() && rest[..kw.len()].eq_ignore_ascii_case(kw) {
+        if rest
+            .get(..kw.len())
+            .is_some_and(|w| w.eq_ignore_ascii_case(kw))
+        {
             // Keyword boundary: next char must not be identifier-ish.
             let after = rest[kw.len()..].chars().next();
             if after.is_none_or(|c| !c.is_alphanumeric() && c != '_') {
@@ -297,10 +305,15 @@ pub fn parse_select(src: &str) -> Result<Select, SqlError> {
 }
 
 // ---------------------------------------------------------------------------
-// executor
+// compiler
 // ---------------------------------------------------------------------------
 
-/// Column catalogue of the intermediate (joined) table.
+/// Head predicate of a compiled statement. The SQL lexer cannot produce
+/// this name, so it never collides with a FROM table — not even one
+/// called `result`.
+const HEAD: &str = "?result";
+
+/// Column catalogue of the FROM tables, concatenated in order.
 struct Catalogue {
     /// (table name, column name) per position.
     cols: Vec<(String, String)>,
@@ -330,144 +343,165 @@ impl Catalogue {
     }
 }
 
-/// Executes a SELECT against a database of c-tables, returning a
-/// result c-table (name `result`). Conditions follow the c-table
-/// semantics: comparisons against c-variable cells annotate rows
-/// instead of dropping them.
-pub fn execute(db: &Database, stmt: &Select) -> Result<Table, SqlError> {
-    let reg = &db.cvars;
+/// A resolved WHERE operand: a catalogue position or a constant.
+enum Operand {
+    Col(usize),
+    Lit(Const),
+}
 
-    // FROM: fold tables left to right, joining on applicable equality
-    // predicates (index-assisted), cartesian otherwise.
-    let mut acc: Option<(Table, Catalogue)> = None;
-    for tname in &stmt.tables {
-        let rel = db
-            .relation(tname)
-            .ok_or_else(|| SqlError::UnknownTable(tname.clone()))?;
-        let t = Table::from_relation(rel);
-        let cat_new: Vec<(String, String)> = rel
-            .schema
-            .attrs
-            .iter()
-            .map(|a| (tname.clone(), a.clone()))
-            .collect();
-        acc = Some(match acc {
-            None => (t, Catalogue { cols: cat_new }),
-            Some((left, mut cat)) => {
-                // Equality predicates between an existing column and a
-                // column of the incoming table drive the join.
-                let incoming = Catalogue { cols: cat_new };
-                let mut on = Vec::new();
-                for p in &stmt.predicates {
-                    if p.op != CmpOp::Eq {
-                        continue;
-                    }
-                    if let (SqlValue::Col(a), SqlValue::Col(b)) = (&p.lhs, &p.rhs) {
-                        let pairs = [(a, b), (b, a)];
-                        for (l, r) in pairs {
-                            if let (Ok(li), Ok(ri)) = (cat.resolve(l), incoming.resolve(r)) {
-                                on.push((li, ri));
-                                break;
-                            }
-                        }
-                    }
-                }
-                let joined = ops::join(reg, &left, &t, &on, "join");
-                cat.cols.extend(incoming.cols);
-                (joined, cat)
-            }
+fn operand(cat: &Catalogue, v: &SqlValue) -> Result<Operand, SqlError> {
+    Ok(match v {
+        SqlValue::Col(r) => Operand::Col(cat.resolve(r)?),
+        SqlValue::Lit(c) => Operand::Lit(c.clone()),
+    })
+}
+
+fn find(parent: &mut [usize], mut i: usize) -> usize {
+    while parent[i] != i {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    i
+}
+
+/// Compiles a SELECT into one fauré-log rule over `db`'s tables, plus
+/// the schema (`result`) its answers are reported under.
+///
+/// Every FROM table becomes a positive atom with fresh variables.
+/// `col = col` predicates unify the two variables, `col = literal`
+/// puts the constant into the atom (like q2's `P("1.2.3.4", p)`), and
+/// every other predicate becomes a comparison. The head holds the
+/// SELECT list, or every column for `*` (named `table.column`).
+pub fn compile(db: &Database, stmt: &Select) -> Result<(Rule, Schema), SqlError> {
+    if stmt.tables.is_empty() {
+        return Err(SqlError::Parse {
+            pos: 0,
+            msg: "FROM clause is empty".into(),
         });
     }
-    let (mut table, cat) = acc.ok_or_else(|| SqlError::Parse {
-        pos: 0,
-        msg: "FROM clause is empty".into(),
-    })?;
+    // The engine would silently create a missing table, so check here.
+    let mut cat = Catalogue { cols: Vec::new() };
+    let mut arities = Vec::new();
+    for t in &stmt.tables {
+        let rel = db
+            .relation(t)
+            .ok_or_else(|| SqlError::UnknownTable(t.clone()))?;
+        cat.cols
+            .extend(rel.schema.attrs.iter().map(|a| (t.clone(), a.clone())));
+        arities.push(rel.schema.arity());
+    }
 
-    // WHERE: apply remaining predicates (the equality ones already used
-    // for joining are harmless to re-apply; they evaluate to ground
-    // truths or duplicate conditions that simplification removes).
+    // Union-find over positions for `col = col`; constants per class
+    // for `col = literal`; everything else is a comparison.
+    let n = cat.cols.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut lits = Vec::new();
+    let mut rest = Vec::new();
     for p in &stmt.predicates {
-        table = apply_predicate(reg, &table, &cat, p)?;
-    }
-
-    // SELECT list.
-    let out = if stmt.columns.is_empty() {
-        let mut renamed = table;
-        renamed.schema = Schema {
-            name: "result".into(),
-            attrs: cat.cols.iter().map(|(t, c)| format!("{t}.{c}")).collect(),
-        };
-        renamed
-    } else {
-        let idx: Vec<usize> = stmt
-            .columns
-            .iter()
-            .map(|c| cat.resolve(c))
-            .collect::<Result<_, _>>()?;
-        let mut projected = ops::project(&table, &idx, "result");
-        projected.schema.attrs = stmt.columns.iter().map(|c| c.column.clone()).collect();
-        projected
-    };
-    Ok(out)
-}
-
-fn apply_predicate(
-    reg: &CVarRegistry,
-    table: &Table,
-    cat: &Catalogue,
-    pred: &SqlPred,
-) -> Result<Table, SqlError> {
-    // Fast path: `col = literal` exploits the index.
-    if pred.op == CmpOp::Eq {
-        if let Some((col, lit)) = eq_col_lit(cat, pred)? {
-            let mut pats = vec![Pattern::Any; table.schema.arity()];
-            pats[col] = Pattern::Exact(Term::Const(lit));
-            return Ok(ops::select(reg, table, &pats));
-        }
-    }
-    // General path: per-row condition atom between the resolved cells.
-    let side = |v: &SqlValue, row: &CTuple| -> Result<Term, SqlError> {
-        match v {
-            SqlValue::Lit(c) => Ok(Term::Const(c.clone())),
-            SqlValue::Col(r) => {
-                let i = cat.resolve(r)?;
-                Ok(row.terms[i].clone())
+        match (operand(&cat, &p.lhs)?, p.op, operand(&cat, &p.rhs)?) {
+            (Operand::Col(i), CmpOp::Eq, Operand::Col(j)) => {
+                let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                parent[ri] = rj;
             }
+            (Operand::Col(i), CmpOp::Eq, Operand::Lit(c))
+            | (Operand::Lit(c), CmpOp::Eq, Operand::Col(i)) => lits.push((i, c)),
+            (l, op, r) => rest.push((l, op, r)),
         }
+    }
+    let root: Vec<usize> = (0..n).map(|i| find(&mut parent, i)).collect();
+    let mut bound: Vec<Option<Const>> = vec![None; n];
+    let mut comparisons = Vec::new();
+    for (i, c) in lits {
+        match &bound[root[i]] {
+            None => bound[root[i]] = Some(c),
+            // A second, different constant on the class: a ground
+            // comparison that is false, so the rule never fires.
+            Some(prev) if *prev != c => comparisons.push(Comparison {
+                lhs: CompExpr::Arg(ArgTerm::Cst(prev.clone())),
+                op: CmpOp::Eq,
+                rhs: CompExpr::Arg(ArgTerm::Cst(c)),
+            }),
+            Some(_) => {}
+        }
+    }
+    let arg = |i: usize| match &bound[root[i]] {
+        Some(c) => ArgTerm::Cst(c.clone()),
+        None => ArgTerm::Var(format!("v{}", root[i])),
     };
-    let mut out = Table::new(table.schema.clone());
-    for row in table.iter() {
-        let l = side(&pred.lhs, &row)?;
-        let r = side(&pred.rhs, &row)?;
-        let cond = Condition::Atom(Atom::new(l, pred.op, r));
-        let combined = row.cond.clone().and(cond);
-        out.insert(CTuple {
-            terms: row.terms.clone(),
-            cond: combined,
+    let side = |o: Operand| {
+        CompExpr::Arg(match o {
+            Operand::Col(i) => arg(i),
+            Operand::Lit(c) => ArgTerm::Cst(c),
         })
-        .expect("filter preserves the input schema");
+    };
+    for (l, op, r) in rest {
+        comparisons.push(Comparison {
+            lhs: side(l),
+            op,
+            rhs: side(r),
+        });
     }
-    Ok(out)
+
+    let mut body = Vec::new();
+    let mut start = 0;
+    for (t, arity) in stmt.tables.iter().zip(arities) {
+        body.push(Literal::Pos(RuleAtom::new(
+            t.clone(),
+            (start..start + arity).map(arg).collect(),
+        )));
+        start += arity;
+    }
+    let (cols, attrs): (Vec<usize>, Vec<String>) = if stmt.columns.is_empty() {
+        (0..n)
+            .map(|i| (i, format!("{}.{}", cat.cols[i].0, cat.cols[i].1)))
+            .unzip()
+    } else {
+        stmt.columns
+            .iter()
+            .map(|c| Ok((cat.resolve(c)?, c.column.clone())))
+            .collect::<Result<Vec<_>, SqlError>>()?
+            .into_iter()
+            .unzip()
+    };
+    let rule = Rule {
+        head: RuleAtom::new(HEAD, cols.into_iter().map(arg).collect()),
+        body,
+        comparisons,
+    };
+    Ok((
+        rule,
+        Schema {
+            name: "result".into(),
+            attrs,
+        },
+    ))
 }
 
-fn eq_col_lit(cat: &Catalogue, pred: &SqlPred) -> Result<Option<(usize, Const)>, SqlError> {
-    match (&pred.lhs, &pred.rhs) {
-        (SqlValue::Col(c), SqlValue::Lit(l)) | (SqlValue::Lit(l), SqlValue::Col(c)) => {
-            Ok(Some((cat.resolve(c)?, l.clone())))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// Parses and executes in one call.
+/// Parses `sql`, compiles it, and runs the rule through the engine,
+/// returning the answers as a c-table named `result`. Conditions follow
+/// the c-table semantics: comparisons against c-variable cells annotate
+/// rows instead of dropping them, and rows whose condition is
+/// contradictory are pruned. SQL is not pipeline work, so the run does
+/// not publish telemetry.
 pub fn query(db: &Database, sql: &str) -> Result<Table, SqlError> {
-    execute(db, &parse_select(sql)?)
+    let (rule, schema) = compile(db, &parse_select(sql)?)?;
+    let program = Program { rules: vec![rule] };
+    let out = without_telemetry(|| Engine::new().prepare(&program)?.run(db))
+        .map_err(|e| SqlError::Eval(e.to_string()))?;
+    let mut table = Table::new(schema);
+    for row in out.relation(HEAD).into_iter().flat_map(|r| r.iter()) {
+        table
+            .insert(row.clone())
+            .expect("the head has one argument per result column");
+    }
+    Ok(table)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use faure_ctable::examples::table2_path_db;
+    use faure_ctable::{CTuple, Condition, Domain, Term};
 
     #[test]
     fn parse_shapes() {
@@ -592,37 +626,82 @@ mod tests {
         assert_eq!(a, via_log);
     }
 
-    /// Tiny helper: the same query through the deductive engine. Kept
-    /// out-of-line so the storage crate does not depend on faure-core —
-    /// we replicate the expected answer by hand instead.
+    /// The same query through the deductive engine, as q2 writes it.
     fn faure_core_equivalent(db: &Database) -> Vec<Vec<Term>> {
-        // Manual join: P('1.2.3.4', p) ⋈ C(p, c) → c.
-        let p = Table::from_relation(db.relation("P").unwrap());
-        let c = Table::from_relation(db.relation("C").unwrap());
-        let mut out = Vec::new();
-        for (pi, mu) in p.find_matches(
-            &db.cvars,
-            &[Pattern::Exact(Term::sym("1.2.3.4")), Pattern::Any],
-        ) {
-            let prow = p.row(pi);
-            for (ci, mu2) in c.find_matches(
-                &db.cvars,
-                &[Pattern::Exact(prow.terms[1].clone()), Pattern::Any],
-            ) {
-                let crow = c.row(ci);
-                let cond = prow
-                    .cond
-                    .clone()
-                    .and(crow.cond.clone())
-                    .and(mu.clone())
-                    .and(mu2);
-                if faure_solver::satisfiable(&db.cvars, &cond).unwrap() {
-                    out.push(vec![crow.terms[1].clone()]);
-                }
-            }
+        let program = crate::parse_program(r#"Cost(c) :- P("1.2.3.4", p), C(p, c)."#).unwrap();
+        let out = crate::evaluate(&program, db).unwrap();
+        let mut rows: Vec<Vec<Term>> = out
+            .relation("Cost")
+            .unwrap()
+            .iter()
+            .map(|r| r.terms.clone())
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Multi-byte input must produce errors, never a panic: a no-break
+    /// space as whitespace, and non-ASCII text where a keyword is
+    /// expected.
+    #[test]
+    fn multibyte_input_does_not_panic() {
+        let (db, _) = table2_path_db();
+        let t = query(&db, "SELECT\u{a0}cost FROM C WHERE cost < 4").unwrap();
+        assert_eq!(t.len(), 1);
+        for src in ["aéééé", "SELECT a FROM A WHERE a = 1 éé"] {
+            assert!(matches!(parse_select(src), Err(SqlError::Parse { .. })));
         }
-        out.sort();
-        out.dedup();
-        out
+    }
+
+    /// A selection that contradicts a row's condition prunes the row,
+    /// exactly as the same query written as a rule derives nothing.
+    #[test]
+    fn contradictory_rows_are_pruned() {
+        let mut db = Database::new();
+        let u = db.fresh_cvar("u", Domain::Ints(vec![0, 1, 2]));
+        db.create_relation(Schema::new("A", &["a", "b"])).unwrap();
+        db.insert(
+            "A",
+            CTuple::with_cond(
+                [Term::Var(u), Term::int(1)],
+                Condition::ne(Term::Var(u), Term::int(1)),
+            ),
+        )
+        .unwrap();
+        let t = query(&db, "SELECT a FROM A WHERE a > 0 AND a < 2").unwrap();
+        assert!(t.is_empty());
+        let program = crate::parse_program("Q(a) :- A(a, b), a > 0, a < 2.").unwrap();
+        assert!(crate::evaluate(&program, &db)
+            .unwrap()
+            .relation("Q")
+            .unwrap()
+            .is_empty());
+    }
+
+    /// An engine error — here the solver refusing an order atom over an
+    /// open-domain c-variable — comes back as `SqlError::Eval`.
+    #[test]
+    fn engine_errors_are_reported() {
+        let mut db = Database::new();
+        let u = db.fresh_cvar("u", Domain::Open);
+        db.create_relation(Schema::new("A", &["a"])).unwrap();
+        db.insert("A", CTuple::new([Term::Var(u)])).unwrap();
+        assert!(matches!(
+            query(&db, "SELECT a FROM A WHERE a < 2"),
+            Err(SqlError::Eval(_))
+        ));
+    }
+
+    /// A database relation may itself be called `result`.
+    #[test]
+    fn table_named_result() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new("result", &["x"])).unwrap();
+        db.insert("result", CTuple::new([Term::int(7)])).unwrap();
+        let t = query(&db, "SELECT x FROM result").unwrap();
+        assert_eq!(t.schema.name, "result");
+        assert_eq!(t.schema.attrs, vec!["x"]);
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.row(0).terms, vec![Term::int(7)]);
     }
 }

@@ -496,7 +496,7 @@ pub fn apply_to_database(update: &Update, db: &mut Database) -> Result<(), Updat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::evaluate;
+    use crate::engine::evaluate;
     use crate::parser::parse_program;
     use faure_ctable::{Domain, Schema};
 

@@ -2,18 +2,20 @@
 //!
 //! Loads a demo database (Table 2's PATH′ by default, or the §5
 //! enterprise network with `--net`) and evaluates SELECT statements
-//! read from stdin. Conditional rows print with their conditions —
-//! watch a constant `WHERE` clause match an unknown cell:
+//! read from stdin. Each statement compiles to one fauré-log rule and
+//! runs through the evaluation engine, so conditional rows print with
+//! their solver-checked conditions — watch a constant `WHERE` clause
+//! match an unknown cell:
 //!
 //! ```text
 //! sql> SELECT dest, path FROM P WHERE dest = '1.2.3.5'
-//!   (1.2.3.5, [A,B,E]) [(y' != 1.2.3.4 & y' = 1.2.3.5)]
+//!   (1.2.3.5, [A,B,E]) [(1.2.3.4 != y' & 1.2.3.5 = y')]
 //! ```
 //!
 //! Run with: `cargo run -p faure-examples --bin sql_console [--net]`
 //! (pipe queries in, or type them followed by Enter; Ctrl-D exits).
 
-use faure_storage::sql;
+use faure_core::sql;
 use std::io::{BufRead, Write};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

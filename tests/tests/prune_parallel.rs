@@ -20,7 +20,7 @@
 //! arithmetic over the corpus c-variables), so the prune actually
 //! removes and simplifies rows rather than passing everything through.
 
-use faure_core::eval::canonicalize;
+use faure_core::engine::canonicalize;
 use faure_ctable::{CTuple, CmpOp, CondId, Condition, Database, LinExpr, Term};
 use faure_solver::{Session, SharedMemo, SolverStats};
 use faure_storage::{PruneRows, Table};

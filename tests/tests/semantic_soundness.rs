@@ -16,13 +16,13 @@
 //!    cell `$v` guarded by `$v != 1` never instantiates to 1, and the
 //!    abstract domain is allowed to know that.)
 //! 2. **Hint transparency**: evaluation prepared with
-//!    [`Engine::prepare_with_hints`] is bit-identical (rows,
+//!    [`Engine::with_hints`] is bit-identical (rows,
 //!    conditions raw and canonicalized, row order) to the unhinted
 //!    run, and hinted predicates/rules marked empty/infeasible really
 //!    derive nothing.
 
 use faure_analyze::{infer, plan_hints, Inference};
-use faure_core::eval::canonicalize;
+use faure_core::engine::canonicalize;
 use faure_core::{Engine, EvalOutput, Program};
 use faure_ctable::worlds::WorldIter;
 use faure_ctable::{Condition, Database, Term};
@@ -139,7 +139,8 @@ proptest! {
             .expect("evaluation succeeds");
         let hints = plan_hints(&program, Some(&db));
         let hinted = Engine::new()
-            .prepare_with_hints(&program, hints)
+            .with_hints(hints)
+            .prepare(&program)
             .expect("hinted prepare succeeds")
             .run(&db)
             .expect("hinted evaluation succeeds");

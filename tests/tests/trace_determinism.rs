@@ -14,8 +14,8 @@
 //!   (and the racy memo hit/miss *split* under the shared parallel
 //!   memo) may differ between runs.
 
-use faure_core::eval::canonicalize;
-use faure_core::{evaluate_traced, evaluate_with, EvalOptions, EvalOutput, Program};
+use faure_core::engine::canonicalize;
+use faure_core::{evaluate_with, Engine, EvalOptions, EvalOutput, Program};
 use faure_ctable::{Condition, Database, Term};
 use faure_tests::corpus::{arb_db, arb_program};
 use faure_trace::metrics::{rollup_by_arg, rollup_spans};
@@ -58,7 +58,10 @@ fn eval_traced(program: &Program, db: &Database, threads: usize) -> (EvalOutput,
     };
     let recorder = Arc::new(Recorder::new());
     let tracer = Tracer::new(Arc::clone(&recorder) as Arc<dyn TraceSink>);
-    let out = evaluate_traced(program, db, &opts, &tracer).expect("evaluation succeeds");
+    let out = Engine::with_options(opts)
+        .prepare_traced(program, &tracer)
+        .and_then(|p| p.run_traced(db, &tracer))
+        .expect("evaluation succeeds");
     (out, recorder.take())
 }
 
@@ -81,7 +84,10 @@ fn eval_telemetry(
         Arc::clone(&recorder) as Arc<dyn TraceSink>,
         Arc::clone(&flight) as Arc<dyn TraceSink>,
     ])));
-    let out = evaluate_traced(program, db, &opts, &tracer).expect("evaluation succeeds");
+    let out = Engine::with_options(opts)
+        .prepare_traced(program, &tracer)
+        .and_then(|p| p.run_traced(db, &tracer))
+        .expect("evaluation succeeds");
     (out, flight)
 }
 
